@@ -56,9 +56,9 @@ topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols,
   // 10 m spacing: the reach radius (~36.5 m) covers a few rings of the
   // lattice, so culled fan-out stays ~constant as N grows.
   spec.spacing_m = 10.0;
-  // No sessions and no static routes: flooding needs no routing graph,
-  // and skipping it keeps the N = 10000 build out of the O(N^2)
-  // next-hop matrix.
+  // No sessions: flooding is one-hop broadcast and routes nothing. Static
+  // routes stay on (the spec default); they cost the build nothing,
+  // because the scenario's route oracle answers them on demand.
   spec.sessions.clear();
   spec.medium.policy = medium;
   spec.medium.shard_threads = shard_threads;

@@ -95,7 +95,4 @@ class RouteDiscovery {
   std::uint64_t routes_learned_ = 0;
 };
 
-// Link address -> node IP (inverse of mac_for).
-proto::Ipv4Address ip_for(proto::MacAddress address);
-
 }  // namespace hydra::net

@@ -282,103 +282,101 @@ std::vector<std::vector<std::uint32_t>> ScenarioSpec::adjacency(
   return adj;
 }
 
-std::vector<std::vector<std::uint32_t>> ScenarioSpec::next_hops() const {
-  return next_hops(adjacency());
+namespace {
+
+// The static routes of one family, answered per query: closed forms for
+// chain, star, grid and ring; kRandom's BFS table is filled once here
+// and only read afterwards.
+class FamilyRoutes final : public net::RouteOracle {
+ public:
+  FamilyRoutes(const ScenarioSpec& spec,
+               const std::vector<std::vector<std::uint32_t>>& adjacency)
+      : family_(spec.family),
+        n_(static_cast<std::uint32_t>(spec.node_count())),
+        cols_(static_cast<std::uint32_t>(spec.cols)) {
+    if (family_ == Family::kRandom) fill_bfs(adjacency);
+  }
+
+  std::uint32_t next_hop(std::uint32_t from, std::uint32_t to) const override {
+    if (from == to) return to;
+    switch (family_) {
+      case Family::kChain:
+        // Hop-by-hop toward the destination index.
+        return to > from ? from + 1 : from - 1;
+      case Family::kStar:
+        // Every non-hub pair relays through the hub (node 1).
+        return from == 1 || to == 1 ? to : 1;
+      case Family::kGrid: {
+        // Manhattan (X-then-Y) dimension-order routing.
+        const std::uint32_t rf = from / cols_, cf = from % cols_;
+        const std::uint32_t rt = to / cols_, ct = to % cols_;
+        if (cf != ct) return rf * cols_ + (ct > cf ? cf + 1 : cf - 1);
+        return (rt > rf ? rf + 1 : rf - 1) * cols_ + cf;
+      }
+      case Family::kRing: {
+        // The shorter arc (clockwise on ties).
+        const std::uint32_t cw = (to + n_ - from) % n_;
+        return cw <= n_ - cw ? (from + 1) % n_ : (from + n_ - 1) % n_;
+      }
+      case Family::kRandom:
+        return toward_[std::size_t{to} * n_ + from];
+    }
+    HYDRA_UNREACHABLE("bad scenario family");
+  }
+
+ private:
+  // BFS shortest paths over the nearest-neighbor graph, one tree per
+  // destination; index-sorted adjacency keeps tie-breaks stable.
+  void fill_bfs(const std::vector<std::vector<std::uint32_t>>& adj) {
+    HYDRA_ASSERT(adj.size() == n_);
+    toward_.resize(std::size_t{n_} * n_);
+    for (std::uint32_t dst = 0; dst < n_; ++dst) {
+      const auto toward = toward_.begin() + std::size_t{dst} * n_;
+      std::fill(toward, toward + n_, dst);
+      std::vector<bool> seen(n_, false);
+      std::deque<std::uint32_t> queue{dst};
+      seen[dst] = true;
+      while (!queue.empty()) {
+        const std::uint32_t v = queue.front();
+        queue.pop_front();
+        for (const std::uint32_t u : adj[v]) {
+          if (seen[u]) continue;
+          seen[u] = true;
+          toward[u] = v;  // v is one BFS level closer to dst
+          queue.push_back(u);
+        }
+      }
+    }
+  }
+
+  Family family_;
+  std::uint32_t n_;
+  std::uint32_t cols_;
+  // kRandom only: toward_[dst * n + i] is i's next hop toward dst.
+  std::vector<std::uint32_t> toward_;
+};
+
+}  // namespace
+
+std::unique_ptr<const net::RouteOracle> ScenarioSpec::route_oracle() const {
+  return route_oracle(positions());
 }
 
-std::vector<std::vector<std::uint32_t>> ScenarioSpec::next_hops(
-    const std::vector<std::vector<std::uint32_t>>& adjacency) const {
-  const std::size_t n = node_count();
-  HYDRA_ASSERT(adjacency.size() == n);
-  std::vector<std::vector<std::uint32_t>> hops(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    hops[i].resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      hops[i][j] = static_cast<std::uint32_t>(j);  // direct by default
-    }
-  }
-  switch (family) {
-    case Family::kChain:
-      // Hop-by-hop toward the destination index.
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j) continue;
-          hops[i][j] = static_cast<std::uint32_t>(j > i ? i + 1 : i - 1);
-        }
-      }
-      return hops;
-    case Family::kStar:
-      // Every non-hub pair relays through the hub (node 1).
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j || i == 1 || j == 1) continue;
-          hops[i][j] = 1;
-        }
-      }
-      return hops;
-    case Family::kGrid:
-      // Manhattan (X-then-Y) dimension-order routing.
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t ri = i / cols, ci = i % cols;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j) continue;
-          const std::size_t rj = j / cols, cj = j % cols;
-          std::size_t next;
-          if (ci != cj) {
-            next = grid_index(ri, cj > ci ? ci + 1 : ci - 1, cols);
-          } else {
-            next = grid_index(rj > ri ? ri + 1 : ri - 1, ci, cols);
-          }
-          hops[i][j] = static_cast<std::uint32_t>(next);
-        }
-      }
-      return hops;
-    case Family::kRing:
-      // The shorter arc (clockwise on ties).
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j) continue;
-          const std::size_t cw = (j + n - i) % n;
-          hops[i][j] = static_cast<std::uint32_t>(cw <= n - cw ? (i + 1) % n
-                                                              : (i + n - 1) % n);
-        }
-      }
-      return hops;
-    case Family::kRandom: {
-      // BFS shortest paths over the nearest-neighbor graph, one tree per
-      // destination; index-sorted adjacency keeps tie-breaks stable.
-      const auto& adj = adjacency;
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        std::vector<std::uint32_t> toward(n, static_cast<std::uint32_t>(dst));
-        std::vector<bool> seen(n, false);
-        std::deque<std::uint32_t> queue{static_cast<std::uint32_t>(dst)};
-        seen[dst] = true;
-        while (!queue.empty()) {
-          const std::uint32_t v = queue.front();
-          queue.pop_front();
-          for (const std::uint32_t u : adj[v]) {
-            if (seen[u]) continue;
-            seen[u] = true;
-            toward[u] = v;  // v is one BFS level closer to dst
-            queue.push_back(u);
-          }
-        }
-        for (std::size_t i = 0; i < n; ++i) hops[i][dst] = toward[i];
-      }
-      return hops;
-    }
-  }
-  HYDRA_UNREACHABLE("bad scenario family");
+std::unique_ptr<const net::RouteOracle> ScenarioSpec::route_oracle(
+    const std::vector<phy::Position>& positions) const {
+  return std::make_unique<FamilyRoutes>(
+      *this, family == Family::kRandom
+                 ? adjacency(positions)
+                 : std::vector<std::vector<std::uint32_t>>{});
 }
 
 std::vector<std::uint32_t> ScenarioSpec::relay_indices() const {
-  return relay_indices(next_hops());
+  return relay_indices(*route_oracle());
 }
 
 std::vector<std::uint32_t> ScenarioSpec::relay_indices(
-    const std::vector<std::vector<std::uint32_t>>& next_hops) const {
+    const net::RouteOracle& routes) const {
   const std::size_t n = node_count();
-  HYDRA_ASSERT(next_hops.size() == n);
   std::vector<std::uint32_t> relays;
   for (const auto& session : sessions) {
     // Sessions are the one spec field factories install *before* the
@@ -388,7 +386,7 @@ std::vector<std::uint32_t> ScenarioSpec::relay_indices(
                      "session endpoint is not a node of this scenario");
     std::uint32_t cur = session.sender;
     for (std::size_t step = 0; cur != session.receiver && step < n; ++step) {
-      const std::uint32_t next = next_hops[cur][session.receiver];
+      const std::uint32_t next = routes.next_hop(cur, session.receiver);
       if (next == session.receiver) break;
       if (std::find(relays.begin(), relays.end(), next) == relays.end()) {
         relays.push_back(next);
@@ -482,23 +480,17 @@ Scenario::Scenario(const ScenarioSpec& spec, std::uint64_t seed)
 }
 
 Scenario Scenario::build(const ScenarioSpec& spec, std::uint64_t seed) {
+  HYDRA_ASSERT_MSG(spec.node_count() <= kMaxNodes,
+                   "scenario has more nodes than link addresses");
   Scenario s(spec, seed);
-  // Each derived view feeds the next, computed once: positions →
-  // adjacency → next hops → relays (kRandom's placement sampling and
-  // BFS are the expensive steps). A spec that routes nothing — no
-  // static routes, no whitelist, no sessions — skips the graph views
-  // entirely: the full next-hop matrix is O(N²) memory, which is what
-  // caps pure-flooding scale runs otherwise.
+  // Each derived view is computed once: positions feed the route oracle
+  // (kRandom's placement sampling and BFS are the expensive steps), the
+  // oracle the relays, and positions the whitelist's adjacency.
   const auto positions = spec.positions();
-  const bool needs_graph =
-      spec.static_routes || spec.neighbor_whitelist || !spec.sessions.empty();
+  s.routes_ = spec.route_oracle(positions);
+  s.relays_ = spec.relay_indices(*s.routes_);
   std::vector<std::vector<std::uint32_t>> adjacency;
-  std::vector<std::vector<std::uint32_t>> hops;
-  if (needs_graph) {
-    adjacency = spec.adjacency(positions);
-    hops = spec.next_hops(adjacency);
-    s.relays_ = spec.relay_indices(hops);
-  }
+  if (spec.neighbor_whitelist) adjacency = spec.adjacency(positions);
 
   const std::size_t n = positions.size();
   s.nodes_.reserve(n);
@@ -522,15 +514,9 @@ Scenario Scenario::build(const ScenarioSpec& spec, std::uint64_t seed) {
       }
     }
     s.nodes_.push_back(std::make_unique<net::Node>(*s.sim_, *s.medium_, i, nc));
-  }
-
-  if (spec.static_routes) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (std::uint32_t j = 0; j < n; ++j) {
-        if (i == j || hops[i][j] == j) continue;  // direct: no route needed
-        s.nodes_[i]->routes().add_route(proto::Ipv4Address::for_node(j),
-                                        proto::Ipv4Address::for_node(hops[i][j]));
-      }
+    if (spec.static_routes) {
+      s.nodes_.back()->routes().use_oracle(*s.routes_, i,
+                                           static_cast<std::uint32_t>(n));
     }
   }
 

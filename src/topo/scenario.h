@@ -4,6 +4,11 @@
 // Scenario (medium, nodes, static routes, optional discovery engines,
 // packet-trace capture).
 //
+// Static routes are not stored per node: each scenario holds one
+// net::RouteOracle, built from the spec, that every node's RoutingTable
+// queries by node index. chain, star, grid and ring answer in closed
+// form; kRandom computes its per-destination BFS table once, at build.
+//
 // Five open-ended families replace the four hard-coded paper topologies:
 //
 //   kChain   n nodes in a line, hop-by-hop routes between every pair
@@ -50,6 +55,10 @@ std::string to_string(Family family);
 enum class MediumPolicy { kAuto, kFullMesh, kCulled, kSharded };
 
 inline constexpr std::size_t kCullAutoThreshold = 32;
+
+// The largest node count Scenario::build accepts: MacAddress::for_node
+// of index 65534 is 0xffff, the broadcast address.
+inline constexpr std::size_t kMaxNodes = 65534;
 
 std::string to_string(MediumPolicy policy);
 
@@ -156,7 +165,8 @@ struct ScenarioSpec {
   // still hears every frame, but only adjacent links deliver — the
   // standard trick for forcing multi-hop on a single channel.
   bool neighbor_whitelist = false;
-  // Install the family's hop-by-hop static routes.
+  // Give every node the family's hop-by-hop static routes (the
+  // scenario's route oracle).
   bool static_routes = true;
   // Attach a RouteDiscovery engine to every node.
   bool route_discovery = false;
@@ -191,24 +201,23 @@ struct ScenarioSpec {
   // Topological neighbour lists (chain/ring adjacency, grid 4-neighbour,
   // star hub-and-spoke, random range graph), index-sorted.
   std::vector<std::vector<std::uint32_t>> adjacency() const;
-  // Full next-hop matrix: next_hop[i][j] is i's next hop toward j
-  // (== j when delivery is direct).
-  std::vector<std::vector<std::uint32_t>> next_hops() const;
+  // The family's static routes: oracle.next_hop(i, j) is i's next hop
+  // toward j (== j when delivery is direct).
+  std::unique_ptr<const net::RouteOracle> route_oracle() const;
   // Interior nodes of the session paths, in first-traversal order.
   // A property of the family's session paths alone — independent of
   // whether routes are installed statically or found by discovery.
   std::vector<std::uint32_t> relay_indices() const;
 
   // Overloads taking the already-computed previous view, so a builder
-  // needing all four derived views computes each once; kRandom's
+  // needing several derived views computes each once; kRandom's
   // rejection-sampled placement and per-destination BFS are the
   // expensive steps the no-arg forms would otherwise repeat.
   std::vector<std::vector<std::uint32_t>> adjacency(
       const std::vector<phy::Position>& positions) const;
-  std::vector<std::vector<std::uint32_t>> next_hops(
-      const std::vector<std::vector<std::uint32_t>>& adjacency) const;
-  std::vector<std::uint32_t> relay_indices(
-      const std::vector<std::vector<std::uint32_t>>& next_hops) const;
+  std::unique_ptr<const net::RouteOracle> route_oracle(
+      const std::vector<phy::Position>& positions) const;
+  std::vector<std::uint32_t> relay_indices(const net::RouteOracle& routes) const;
 
   // The medium configuration this spec resolves to: kAuto picks culled
   // delivery at kCullAutoThreshold nodes and full mesh below it.
@@ -226,12 +235,13 @@ struct ScenarioSpec {
 };
 
 // A fully wired simulation built from a ScenarioSpec: medium, nodes,
-// routes, optional discovery engines.
+// the route oracle their static routes come from, optional discovery
+// engines.
 class Scenario {
  public:
   // Instantiates `spec`. `seed` seeds the shared simulation RNG; fixed
   // so every run of a spec is reproducible (and so determinism tests can
-  // compare two runs).
+  // compare two runs). Refuses specs of more than kMaxNodes nodes.
   static Scenario build(const ScenarioSpec& spec, std::uint64_t seed = 1);
 
   Scenario(Scenario&&) = default;
@@ -268,6 +278,8 @@ class Scenario {
   ScenarioSpec spec_;
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<phy::Medium> medium_;
+  // Declared before nodes_: their routing tables point into it.
+  std::unique_ptr<const net::RouteOracle> routes_;
   std::vector<std::unique_ptr<net::Node>> nodes_;
   std::vector<std::unique_ptr<net::RouteDiscovery>> discovery_;
   std::vector<std::uint32_t> relays_;

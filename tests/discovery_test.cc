@@ -119,6 +119,56 @@ TEST(Discovery, ExistingRouteResolvesImmediately) {
   EXPECT_EQ(chain.discovery(0).rreqs_sent(), 0u);
 }
 
+// Static routes and discovery both on: the scenario's route oracle
+// answers has_route, and routes discovery learns or a test installs
+// override the oracle's hop.
+Scenario routed_discovery(topo::ScenarioSpec spec) {
+  spec.neighbor_whitelist = true;
+  spec.route_discovery = true;
+  return Scenario::build(spec, 5);
+}
+
+TEST(Discovery, StaticRouteResolvesWithoutAFlood) {
+  auto chain = routed_discovery(topo::ScenarioSpec::chain(4));
+  const auto target = proto::Ipv4Address::for_node(3);
+  EXPECT_TRUE(chain.node(0).routes().has_route(target));
+  bool found = false;
+  chain.discovery(0).discover(target, [&](bool ok) { found = ok; });
+  EXPECT_TRUE(found);  // synchronous: no flood needed
+  EXPECT_EQ(chain.discovery(0).rreqs_sent(), 0u);
+
+  // A hand-installed route overrides the oracle's hop (via node 1).
+  auto& routes = chain.node(0).routes();
+  EXPECT_EQ(routes.next_hop(target), proto::Ipv4Address::for_node(1));
+  EXPECT_EQ(routes.size(), 0u);
+  routes.add_route(target, proto::Ipv4Address::for_node(2));
+  EXPECT_EQ(routes.next_hop(target), proto::Ipv4Address::for_node(2));
+  EXPECT_EQ(routes.size(), 1u);
+}
+
+TEST(Discovery, LearnedRouteOverridesStaticRoute) {
+  // Ring 0-1-2-3: node 0's static route to node 2 takes the clockwise
+  // tie, via node 1.
+  auto ring = routed_discovery(topo::ScenarioSpec::ring(4));
+  const auto origin = proto::Ipv4Address::for_node(2);
+  ASSERT_EQ(ring.node(0).routes().next_hop(origin),
+            proto::Ipv4Address::for_node(1));
+  // Node 3 relays a route request of node 2's, exactly as its engine
+  // relays one: node 0 learns the reverse route to node 2 via node 3.
+  proto::DiscoveryHeader h;
+  h.kind = proto::DiscoveryHeader::Kind::kRreq;
+  h.request_id = 1;
+  h.origin = origin;
+  h.target = proto::Ipv4Address::from_octets(10, 0, 0, 99);
+  h.hop_count = 1;
+  ring.node(3).stack().send(proto::make_discovery_packet(
+      origin, proto::Ipv4Address::broadcast(), h, 7));
+  ring.run_for(sim::Duration::millis(200));
+  EXPECT_GT(ring.discovery(0).routes_learned(), 0u);
+  EXPECT_EQ(ring.node(0).routes().next_hop(origin),
+            proto::Ipv4Address::for_node(3));
+}
+
 TEST(Discovery, HopLimitBoundsTheFlood) {
   auto chain = filtered_chain(4);
   // Give node 0 a discovery engine with a 1-hop cap: the RREQ can reach

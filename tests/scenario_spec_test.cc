@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -58,17 +59,17 @@ TEST(ScenarioSpec, GridManhattanRoutes) {
   //                               3 4 5
   //                               0 1 2
   const auto spec = ScenarioSpec::grid(3, 3);
-  const auto hops = spec.next_hops();
+  const auto routes = spec.route_oracle();
   // X (column) corrected first: 0 -> 8 goes 0,1,2,5,8.
-  EXPECT_EQ(hops[0][8], 1u);
-  EXPECT_EQ(hops[1][8], 2u);
-  EXPECT_EQ(hops[2][8], 5u);
-  EXPECT_EQ(hops[5][8], 8u);
+  EXPECT_EQ(routes->next_hop(0, 8), 1u);
+  EXPECT_EQ(routes->next_hop(1, 8), 2u);
+  EXPECT_EQ(routes->next_hop(2, 8), 5u);
+  EXPECT_EQ(routes->next_hop(5, 8), 8u);
   // Same column: straight up/down.
-  EXPECT_EQ(hops[1][7], 4u);
-  EXPECT_EQ(hops[7][1], 4u);
+  EXPECT_EQ(routes->next_hop(1, 7), 4u);
+  EXPECT_EQ(routes->next_hop(7, 1), 4u);
   // Adjacent nodes deliver directly.
-  EXPECT_EQ(hops[4][5], 5u);
+  EXPECT_EQ(routes->next_hop(4, 5), 5u);
   // The default corner-to-corner session relays along that path.
   EXPECT_EQ(spec.relay_indices(), (std::vector<std::uint32_t>{1, 2, 5}));
 }
@@ -89,26 +90,26 @@ TEST(ScenarioSpec, GridRoutesDeliverEndToEnd) {
 
 TEST(ScenarioSpec, RingRoutesTakeShorterArc) {
   const auto spec = ScenarioSpec::ring(6);
-  const auto hops = spec.next_hops();
-  EXPECT_EQ(hops[0][1], 1u);  // neighbour: direct
-  EXPECT_EQ(hops[0][2], 1u);  // two clockwise
-  EXPECT_EQ(hops[0][5], 5u);  // one counter-clockwise: direct
-  EXPECT_EQ(hops[0][4], 5u);  // two counter-clockwise
-  EXPECT_EQ(hops[0][3], 1u);  // tie: clockwise
+  const auto routes = spec.route_oracle();
+  EXPECT_EQ(routes->next_hop(0, 1), 1u);  // neighbour: direct
+  EXPECT_EQ(routes->next_hop(0, 2), 1u);  // two clockwise
+  EXPECT_EQ(routes->next_hop(0, 5), 5u);  // one counter-clockwise: direct
+  EXPECT_EQ(routes->next_hop(0, 4), 5u);  // two counter-clockwise
+  EXPECT_EQ(routes->next_hop(0, 3), 1u);  // tie: clockwise
   // Default session crosses the ring through relays.
   EXPECT_EQ(spec.relay_indices(), (std::vector<std::uint32_t>{1, 2}));
 }
 
 TEST(ScenarioSpec, StarFamilyRelaysThroughHub) {
   const auto spec = ScenarioSpec::star(4);
-  const auto hops = spec.next_hops();
+  const auto routes = spec.route_oracle();
   for (std::uint32_t leaf : {0u, 2u, 3u, 4u, 5u}) {
     for (std::uint32_t other : {0u, 2u, 3u, 4u, 5u}) {
       if (leaf == other) continue;
-      EXPECT_EQ(hops[leaf][other], 1u);
+      EXPECT_EQ(routes->next_hop(leaf, other), 1u);
     }
-    EXPECT_EQ(hops[leaf][1], 1u);  // hub itself: direct
-    EXPECT_EQ(hops[1][leaf], leaf);
+    EXPECT_EQ(routes->next_hop(leaf, 1), 1u);  // hub itself: direct
+    EXPECT_EQ(routes->next_hop(1, leaf), leaf);
   }
   EXPECT_EQ(spec.relay_indices(), (std::vector<std::uint32_t>{1}));
 }
@@ -151,14 +152,14 @@ TEST(ScenarioSpec, RandomPlacementIsConnectedAndRoutable) {
 
     // Every pair's next-hop chain terminates within n hops and only
     // steps across links of the graph.
-    const auto hops = spec.next_hops();
+    const auto routes = spec.route_oracle();
     for (std::uint32_t i = 0; i < n; ++i) {
       for (std::uint32_t j = 0; j < n; ++j) {
         if (i == j) continue;
         std::uint32_t cur = i;
         std::size_t steps = 0;
         while (cur != j && steps <= n) {
-          const auto next = hops[cur][j];
+          const auto next = routes->next_hop(cur, j);
           ASSERT_NE(next, cur) << "seed " << seed;
           EXPECT_TRUE(std::find(adj[cur].begin(), adj[cur].end(), next) !=
                       adj[cur].end())
@@ -172,6 +173,66 @@ TEST(ScenarioSpec, RandomPlacementIsConnectedAndRoutable) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// 8-bit address aliasing: nodes j and j+256 share an address, and the
+// oracle-backed tables must resolve it as the per-node route install did
+// ---------------------------------------------------------------------
+
+using RouteMap = std::map<proto::Ipv4Address, proto::Ipv4Address>;
+
+// The reference: the install loop that filled every node's std::map
+// before static routes came from the oracle — destinations ascending,
+// direct deliveries skipped, the last write to an address winning.
+std::vector<RouteMap> installed_routes(const ScenarioSpec& spec) {
+  const auto routes = spec.route_oracle();
+  const auto n = static_cast<std::uint32_t>(spec.node_count());
+  std::vector<RouteMap> tables(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const std::uint32_t hop = routes->next_hop(i, j);
+      if (hop == j) continue;
+      tables[i][proto::Ipv4Address::for_node(j)] =
+          proto::Ipv4Address::for_node(hop);
+    }
+  }
+  return tables;
+}
+
+TEST(ScenarioSpec, AliasedAddressesRouteAsTheInstalledTablesDid) {
+  std::vector<ScenarioSpec> specs = {
+      ScenarioSpec::grid(16, 20), ScenarioSpec::chain(300),
+      ScenarioSpec::ring(260), ScenarioSpec::star(300)};
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    specs.push_back(ScenarioSpec::random(12, seed));
+  }
+  for (const auto& spec : specs) {
+    auto scenario = Scenario::build(spec);
+    const auto reference = installed_routes(spec);
+    for (std::uint32_t i = 0; i < scenario.size(); ++i) {
+      const auto& routes = scenario.node(i).routes();
+      EXPECT_EQ(routes.size(), 0u);  // static routes are not stored
+      for (std::uint32_t j = 0; j < scenario.size(); ++j) {
+        const auto dst = proto::Ipv4Address::for_node(j);
+        const auto it = reference[i].find(dst);
+        const bool routed = it != reference[i].end();
+        ASSERT_EQ(routes.has_route(dst), routed)
+            << spec.label() << ": node " << i << " toward " << j;
+        ASSERT_EQ(routes.next_hop(dst), routed ? it->second : dst)
+            << spec.label() << ": node " << i << " toward " << j;
+      }
+    }
+  }
+}
+
+TEST(ScenarioSpecDeathTest, RefusesMoreNodesThanLinkAddresses) {
+  // Index kMaxNodes would get the broadcast MAC and receive every frame.
+  EXPECT_FALSE(proto::MacAddress::for_node(kMaxNodes - 1).is_broadcast());
+  EXPECT_TRUE(proto::MacAddress::for_node(kMaxNodes).is_broadcast());
+  EXPECT_DEATH(Scenario::build(ScenarioSpec::chain(kMaxNodes + 1)),
+               "more nodes than link addresses");
 }
 
 TEST(ScenarioSpec, RandomPlacementIsSeedStable) {
