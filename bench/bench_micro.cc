@@ -3,6 +3,9 @@
 // small experiment as an end-to-end figure of merit.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "app/experiment.h"
 #include "core/aggregator.h"
 #include "proto/frames.h"
@@ -62,6 +65,65 @@ void BM_SchedulerCancelChurn(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SchedulerCancelChurn)->Arg(1000)->Arg(10000);
+
+// The medium's delivery fan-out in steady state: every iteration commits
+// one 84-event schedule_batch (42 rx_start/rx_end pairs capturing a
+// pointer, a shared_ptr and a double — 32 bytes, the medium's capture
+// shape), arms four MAC-style timers and cancels three of them lazily,
+// then runs 10 µs of simulated time. A standing heap of range(0)
+// far-future events (a quarter of them cancelled) sits under it, so
+// every push and pop walks a realistically deep heap. The 10 µs step
+// pops ~88 keys per iteration: this one's rx_starts, the rx_ends of 30
+// iterations ago, and the timers (live or dead) of 50 iterations ago.
+void BM_SchedulerFanout(benchmark::State& state) {
+  const auto standing = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kPairs = 42;
+  struct Rx {
+    double power_sum = 0.0;
+    void start(const std::shared_ptr<int>& tx, double p) {
+      power_sum += p + *tx;
+    }
+  };
+  Rx rx;
+  Rx* const dst = &rx;
+  auto tx = std::make_shared<int>(1);
+  sim::Scheduler sched;
+  const auto far = sim::TimePoint::at(sim::Duration::seconds(1000000));
+  for (std::size_t i = 0; i < standing; ++i) {
+    const double power = static_cast<double>(i);
+    const auto id = sched.schedule_at(
+        far + sim::Duration::nanos(static_cast<std::int64_t>(i)),
+        [dst, tx, power] { dst->start(tx, power); });
+    if (i % 4 == 0) sched.cancel(id);
+  }
+  std::vector<sim::Scheduler::BatchEvent> batch;
+  std::vector<sim::EventId> ids;
+  for (auto _ : state) {
+    const auto now = sched.now();
+    for (std::size_t i = 0; i < kPairs; ++i) {
+      const auto prop = sim::Duration::micros(1) +
+                        sim::Duration::nanos(static_cast<std::int64_t>(i));
+      const double power = -60.0 - static_cast<double>(i);
+      batch.push_back(
+          {now + prop, [dst, tx, power] { dst->start(tx, power); }});
+      batch.push_back({now + prop + sim::Duration::micros(300),
+                       [dst, tx, power] { dst->start(tx, -power); }});
+    }
+    ids.clear();
+    sched.schedule_batch(batch, &ids);
+    for (int t = 0; t < 4; ++t) {
+      const auto timer =
+          sched.schedule_at(now + sim::Duration::micros(500),
+                            [dst, tx] { dst->start(tx, 1.0); });
+      if (t != 0) sched.cancel(timer);
+    }
+    sched.run_until(now + sim::Duration::micros(10));
+  }
+  benchmark::DoNotOptimize(rx.power_sum);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * kPairs));
+}
+BENCHMARK(BM_SchedulerFanout)->Arg(10000)->Arg(100000);
 
 // The parallel-window engine against plain serial stepping, on a pure
 // scheduler workload (no medium, no MAC): `batch` same-instant events

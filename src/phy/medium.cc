@@ -399,9 +399,9 @@ Medium::~Medium() {
 }
 
 void Medium::attach(Phy& phy) {
-  for (const auto* existing : phys_) {
-    HYDRA_ASSERT_MSG(existing != &phy, "phy attached twice");
-  }
+  // O(1) on purpose: Scenario::build attaches every PHY, so scanning
+  // phys_ here would make building an N-node scenario O(N^2).
+  HYDRA_ASSERT_MSG(!phy.attached_, "phy attached twice");
   phys_.push_back(&phy);
   phy.attached_ = true;
   min_prop_dirty_ = true;

@@ -233,8 +233,8 @@ class Medium {
   const ErrorModel& error_model() const { return error_model_; }
   sim::Simulation& simulation() { return sim_; }
 
-  // Replaces the delivery backend (tests, future sharded backends). The
-  // default is the backend for config().delivery.
+  // Replaces the delivery backend (tests inject their own). The default
+  // is the backend for config().delivery (full mesh, culled or sharded).
   void set_backend(std::unique_ptr<DeliveryBackend> backend);
   const DeliveryBackend& backend();
 

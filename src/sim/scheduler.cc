@@ -120,7 +120,7 @@ struct Scheduler::WindowEngine {
   // Main-thread-only scratch (reused across windows): collect_buf feeds
   // begin(), commit_buf drains pending_ops at the barrier. Neither is
   // ever touched while the pool is running a batch.
-  std::vector<Entry> collect_buf;
+  std::vector<Key> collect_buf;
   std::vector<PendingOp> commit_buf;
 
   // Builds the per-window state from the collected (heap-order) events.
@@ -128,7 +128,9 @@ struct Scheduler::WindowEngine {
   // this state until the pool's batch handoff publishes it (the workers
   // observe the generation bump under the pool's own mutex), a
   // publication protocol the analysis cannot follow — hence the escape.
-  void begin(std::vector<Entry>& collected,
+  // Each collected event's callback moves out of its slot into the
+  // window record; the slot itself stays occupied until execute().
+  void begin(std::vector<Key>& collected,
              TimePoint end) NO_THREAD_SAFETY_ANALYSIS {
     events.clear();
     groups.clear();
@@ -138,16 +140,17 @@ struct Scheduler::WindowEngine {
     window_end = end;
     ran = 0;
     last_ran_at = TimePoint::origin();
-    for (auto& entry : collected) {
+    for (const Key& key : collected) {
+      Slot& slot = owner->slots_[key.slot];
       const std::size_t i = events.size();
-      events.push_back(Event{entry.at, entry.slot, entry.affinity, kNoCreator,
+      events.push_back(Event{key.at, key.slot, slot.affinity, kNoCreator,
                              static_cast<std::uint32_t>(i),
-                             Event::State::kReady, std::move(entry.cb)});
+                             Event::State::kReady, std::move(slot.cb)});
       const auto [it, inserted] =
-          group_of.try_emplace(entry.affinity, groups.size());
+          group_of.try_emplace(slot.affinity, groups.size());
       if (inserted) groups.emplace_back();
       groups[it->second].members.push_back(i);
-      resident_affinity.emplace(entry.slot, entry.affinity);
+      resident_affinity.emplace(key.slot, slot.affinity);
     }
     collected.clear();
   }
@@ -442,11 +445,13 @@ EventId Scheduler::schedule_at(TimePoint at, Callback cb) {
   HYDRA_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   HYDRA_ASSERT(cb != nullptr);
   const std::uint32_t slot = acquire_slot();
-  heap_.push_back(
-      Entry{at, next_seq_++, slot, current_affinity(), std::move(cb)});
+  Slot& s = slots_[slot];
+  s.affinity = current_affinity();
+  s.cb = std::move(cb);
+  heap_.push_back(Key{at, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   // generation >= 1 always, so a packed id is never 0 (the invalid id).
-  return EventId(pack_id(slots_[slot].generation, slot));
+  return EventId(pack_id(s.generation, slot));
 }
 
 EventId Scheduler::schedule_in(Duration delay, Callback cb) {
@@ -477,26 +482,14 @@ void Scheduler::schedule_batch(std::vector<BatchEvent>& events,
     HYDRA_ASSERT_MSG(event.at >= now_, "cannot schedule into the past");
     HYDRA_ASSERT(event.cb != nullptr);
     const std::uint32_t slot = acquire_slot();
-    if (ids) ids->push_back(EventId(pack_id(slots_[slot].generation, slot)));
-    const std::uint32_t affinity = event.affinity == kNoAffinity
-                                       ? current_affinity()
-                                       : event.affinity;
-    heap_.push_back(
-        Entry{event.at, next_seq_++, slot, affinity, std::move(event.cb)});
+    Slot& s = slots_[slot];
+    if (ids) ids->push_back(EventId(pack_id(s.generation, slot)));
+    s.affinity = event.affinity == kNoAffinity ? current_affinity()
+                                               : event.affinity;
+    s.cb = std::move(event.cb);
+    heap_.push_back(Key{event.at, next_seq_++, slot});
   }
-  // Restore the heap invariant: k sift-ups cost O(k log n) and one
-  // make_heap pass costs O(n), so a batch that is small next to the
-  // heap sifts and a dominating one (a large delivery fan-out into a
-  // quiet heap) heapifies in one sweep.
-  if (events.size() >= existing / 8) {
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-  } else {
-    for (std::size_t i = existing; i < heap_.size(); ++i) {
-      std::push_heap(heap_.begin(),
-                     heap_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                     Later{});
-    }
-  }
+  restore_heap(existing);
   events.clear();
 }
 
@@ -531,8 +524,8 @@ bool Scheduler::cancel(EventId id) {
   // cancelled) and the slot moved on; cancelling it is a no-op that must
   // report failure.
   if (s.generation != generation || !s.pending) return false;
-  // Lazy deletion: clear the pending flag; the heap entry is dropped
-  // (and the slot vacated) when it surfaces.
+  // Lazy deletion: clear the pending flag; the key is dropped (and the
+  // callback released, the slot vacated) when it surfaces.
   s.pending = false;
   --pending_count_;
   return true;
@@ -569,35 +562,61 @@ void Scheduler::vacate(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
+void Scheduler::drop_head() {
+  const std::uint32_t slot = pop_key().slot;
+  // Moved out first: the callback's destructor may schedule, which can
+  // reallocate slots_.
+  const Callback dead = std::move(slots_[slot].cb);
+  vacate(slot);
+}
+
+Scheduler::Key Scheduler::pop_key() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key top = heap_.back();
+  heap_.pop_back();
+  return top;
+}
+
+void Scheduler::restore_heap(std::size_t existing) {
+  if (heap_.size() - existing >= existing / 8) {
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+  } else {
+    for (std::size_t i = existing; i < heap_.size(); ++i) {
+      std::push_heap(heap_.begin(),
+                     heap_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                     Later{});
+    }
+  }
+}
+
 std::optional<TimePoint> Scheduler::peek_next_time() {
   while (!heap_.empty()) {
     if (slots_[heap_.front().slot].pending) return heap_.front().at;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    vacate(heap_.back().slot);
-    heap_.pop_back();
+    drop_head();
   }
   return std::nullopt;
 }
 
 void Scheduler::pop_and_run() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry entry = std::move(heap_.back());
-  heap_.pop_back();
-  const bool live = slots_[entry.slot].pending;
-  vacate(entry.slot);
+  const Key key = pop_key();
+  Slot& s = slots_[key.slot];
+  const bool live = s.pending;
+  const std::uint32_t affinity = s.affinity;
+  Callback cb = std::move(s.cb);
+  vacate(key.slot);
   if (!live) return;  // cancelled; already discounted from pending_count_
   --pending_count_;
-  HYDRA_ASSERT(entry.at >= now_);
-  now_ = entry.at;
+  HYDRA_ASSERT(key.at >= now_);
+  now_ = key.at;
   ++executed_;
   // Children scheduled from the callback inherit the event's affinity.
   ExecContext ctx;
   ctx.scheduler = this;
-  ctx.at = entry.at;
-  ctx.affinity = entry.affinity;
+  ctx.at = key.at;
+  ctx.affinity = affinity;
   ExecContext* const prev = tl_ctx_;
   tl_ctx_ = &ctx;
-  entry.cb();
+  cb();
   tl_ctx_ = prev;
 }
 
@@ -611,22 +630,19 @@ bool Scheduler::run_parallel_window(TimePoint deadline) {
   auto& collected = win.collect_buf;
   collected.clear();
   while (!heap_.empty()) {
-    const Entry& head = heap_.front();
+    const Key head = heap_.front();
     if (head.at >= window_end || head.at > deadline) break;
-    if (!slots_[head.slot].pending) {  // cancelled: drop lazily
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      vacate(heap_.back().slot);
-      heap_.pop_back();
+    const Slot& s = slots_[head.slot];
+    if (!s.pending) {  // cancelled: drop lazily
+      drop_head();
       continue;
     }
     // An untagged event may touch anything, so it fences the window:
     // everything before it runs in the window, it runs serially after
     // the barrier. Partially tagged workloads stay correct, just less
     // parallel.
-    if (head.affinity == kNoAffinity) break;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    collected.push_back(std::move(heap_.back()));
-    heap_.pop_back();
+    if (s.affinity == kNoAffinity) break;
+    collected.push_back(pop_key());
   }
   if (collected.empty()) return false;
   win.begin(collected, window_end);
@@ -682,20 +698,14 @@ bool Scheduler::run_parallel_window(TimePoint deadline) {
     for (auto& op : ops) {
       HYDRA_ASSERT(op.at >= now_);
       // A deferred schedule cancelled later in the same window kept its
-      // slot non-pending; pushing it anyway reproduces the serial lazy
-      // cancel (the entry is dropped when it surfaces).
-      heap_.push_back(
-          Entry{op.at, next_seq_++, op.slot, op.affinity, std::move(op.cb)});
+      // slot non-pending; queueing it anyway reproduces the serial lazy
+      // cancel (the key is dropped when it surfaces).
+      Slot& s = slots_[op.slot];
+      s.affinity = op.affinity;
+      s.cb = std::move(op.cb);
+      heap_.push_back(Key{op.at, next_seq_++, op.slot});
     }
-    if (ops.size() >= existing / 8) {
-      std::make_heap(heap_.begin(), heap_.end(), Later{});
-    } else {
-      for (std::size_t i = existing; i < heap_.size(); ++i) {
-        std::push_heap(heap_.begin(),
-                       heap_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                       Later{});
-      }
-    }
+    restore_heap(existing);
     ops.clear();
   }
   {

@@ -1,12 +1,16 @@
-// Discrete-event scheduler: a stable min-heap of (time, sequence) events,
-// with an opt-in conservative parallel mode (Chandy–Misra-style lookahead
-// windows executed on a util::TaskPool — see ExecutionPolicy below).
+// Discrete-event scheduler: a min-heap of 24-byte (time, sequence, slot)
+// keys, with each queued event's callback and affinity parked in its
+// slot, so sifting never moves a callback. Same-instant events run in
+// scheduling order. An opt-in conservative parallel mode (Chandy–Misra-
+// style lookahead windows executed on a util::TaskPool — see
+// ExecutionPolicy below) runs the same queue.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.h"
@@ -179,26 +183,36 @@ class Scheduler {
   };
 
  private:
-  struct Entry {
+  // A queued event's heap key: trivially copyable, so a sift level copies
+  // 24 bytes instead of relocating a callback. (at, seq) is unique, which
+  // makes the pop order total and independent of the heap's shape.
+  struct Key {
     TimePoint at;
     std::uint64_t seq;   // tie-breaker: FIFO among same-time events
     std::uint32_t slot;  // index into slots_
-    std::uint32_t affinity;
-    Callback cb;
   };
+  static_assert(std::is_trivially_copyable_v<Key> && sizeof(Key) == 24,
+                "heap keys stay small and memcpy-able");
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
-  // One live-event slot. `generation` stamps the EventId handed out for
-  // the slot's current occupant; vacating the slot bumps it, so cancel()
-  // can tell "still pending" from "already ran / already cancelled /
-  // slot reused" with two array loads instead of hash-set lookups.
+  // One live-event slot: the queued event's callback and affinity, plus
+  // the cancel bookkeeping. `generation` stamps the EventId handed out
+  // for the slot's current occupant; vacating the slot bumps it, so
+  // cancel() can tell "still pending" from "already ran / already
+  // cancelled / slot reused" with two array loads instead of hash-set
+  // lookups. A cancelled event keeps its callback until its key surfaces
+  // (lazy deletion). Events collected into a parallel window and
+  // deferred window schedules hold their callbacks in the window
+  // engine's records instead, and commit them to the slot at the barrier.
   struct Slot {
     std::uint32_t generation = 1;
+    std::uint32_t affinity = kNoAffinity;
     bool pending = false;
+    Callback cb;
   };
 
   // Per-thread execution context: which scheduler/event this thread is
@@ -215,6 +229,16 @@ class Scheduler {
   void pop_and_run();
   std::uint32_t acquire_slot();
   void vacate(std::uint32_t slot);
+  // Pops a cancelled head key and releases its callback and slot.
+  void drop_head();
+
+  // Removes and returns the earliest key.
+  Key pop_key();
+  // Restores the heap invariant after keys were appended past the first
+  // `existing`: k sift-ups cost O(k log n) and one heapify pass O(n), so
+  // a batch small next to the heap sifts and a dominating one (a large
+  // delivery fan-out into a quiet heap) heapifies in one sweep.
+  void restore_heap(std::size_t existing);
   // The affinity new events get in the current context (AffinityScope
   // override first, then the executing event's, then kNoAffinity).
   static std::uint32_t current_affinity();
@@ -245,16 +269,18 @@ class Scheduler {
   LookaheadProvider lookahead_;
   std::unique_ptr<WindowEngine> win_;
   // Kept in heap order by the std::*_heap algorithms (not a
-  // priority_queue: batch commits need to append a run of entries and
-  // restore the invariant in one make_heap pass).
-  std::vector<Entry> heap_;
+  // priority_queue: batch commits append a run of keys and restore the
+  // invariant in one pass).
+  std::vector<Key> heap_;
   // Slot storage grows to the high-water mark of concurrently scheduled
-  // events and is then recycled through the free list; cancelled heap
-  // entries are dropped lazily when popped. Concurrency discipline the
-  // annotations cannot express (the guarding mutex lives in the
-  // policy-dependent WindowEngine): outside window execution only the
-  // run loop's thread touches slots_/free_slots_/pending_count_; inside
-  // a window every access routes through the engine's op_mutex
+  // events and is then recycled through the free list; cancelled events
+  // keep their slot (and callback) until their key is popped. Callbacks
+  // are moved out of a slot before it is vacated and run, so a running
+  // callback survives slots_ reallocating under it. Concurrency
+  // discipline the annotations cannot express (the guarding mutex lives
+  // in the policy-dependent WindowEngine): outside window execution only
+  // the run loop's thread touches slots_/free_slots_/pending_count_;
+  // inside a window every access routes through the engine's op_mutex
   // (window_schedule / window_cancel / execute). The TSan CI slice
   // (`ctest -L parallel`) covers what GUARDED_BY here cannot.
   std::vector<Slot> slots_;

@@ -338,6 +338,16 @@ TEST(MediumDetach, DetachIsIdempotentAndReattachRestoresDelivery) {
   EXPECT_EQ(b.rx_starts(), 2u);
 }
 
+TEST(MediumDetach, AttachingAnAttachedPhyAsserts) {
+  sim::Simulation s(1);
+  phy::Medium medium(s, phy::MediumConfig{});
+  phy::Phy a(s, medium, {.position = {0, 0}}, 0);
+  EXPECT_DEATH(medium.attach(a), "attached twice");
+  medium.detach(a);
+  medium.attach(a);
+  EXPECT_TRUE(a.attached());
+}
+
 TEST(MediumDetach, DetachCancelsInFlightDeliveries) {
   // a's frame is mid-air at b (rx_start ran, rx_end still queued) when b
   // detaches: the queued rx_end must be cancelled — not delivered to a
