@@ -36,8 +36,8 @@ topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
 
   // Install injected channel losses. Counter-based (no RNG): the drop
   // pattern is a pure function of the traffic, so runs stay bit-identical
-  // across medium backends and scheduler policies. Rules on the same node
-  // chain; each keeps its own match counter.
+  // across medium backends. Rules on the same node chain; each keeps its
+  // own match counter.
   for (const auto& rule : config.losses) {
     if (rule.period == 0 || rule.node_index >= node_count) continue;
     auto& stack = scenario.node(rule.node_index).stack();
@@ -220,9 +220,6 @@ topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
   result.phy_incremental_detaches = scenario.medium().incremental_detaches();
   result.phy_incremental_moves = scenario.medium().incremental_moves();
   result.sched_executed_events = simulation.scheduler().executed_events();
-  result.sched_windows = simulation.scheduler().windows_executed();
-  result.sched_parallel_events =
-      simulation.scheduler().parallel_events_executed();
   for (std::size_t i = 0; i < node_count; ++i) {
     result.node_stats.push_back(scenario.node(i).mac_stats());
     result.transport_injected_drops += scenario.node(i).stack().injected_drops();

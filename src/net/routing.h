@@ -23,8 +23,7 @@ proto::MacAddress mac_for(proto::Ipv4Address ip);
 proto::Ipv4Address ip_for(proto::MacAddress address);
 
 // A whole scenario's static routes, by node index. Implementations never
-// change after construction, so parallel-window workers may query one
-// without a lock.
+// change after construction.
 class RouteOracle {
  public:
   virtual ~RouteOracle() = default;

@@ -28,10 +28,10 @@ enum class TrafficKind {
 // drop every `period`-th matching packet (after skipping `offset`
 // matches) headed for `next_hop_index`. Counter-based — no RNG — so a
 // loss pattern is a pure function of the traffic, reproducible across
-// medium backends and scheduler policies. `next_hop_index < 0` matches
-// any next hop; `tcp_data_only` restricts matching to TCP segments
-// carrying payload (pure ACKs and control traffic pass), which keeps the
-// reverse ACK channel clean for loss-differentiation experiments.
+// medium backends. `next_hop_index < 0` matches any next hop;
+// `tcp_data_only` restricts matching to TCP segments carrying payload
+// (pure ACKs and control traffic pass), which keeps the reverse ACK
+// channel clean for loss-differentiation experiments.
 struct LossRule {
   std::uint32_t node_index = 0;
   std::int32_t next_hop_index = -1;
@@ -110,14 +110,8 @@ struct ExperimentResult {
   std::uint64_t phy_incremental_detaches = 0;
   std::uint64_t phy_incremental_moves = 0;
 
-  // Scheduler accounting: events executed, lookahead windows the
-  // parallel policy formed, and events run inside windows with more than
-  // one concurrent group. Windows/parallel stay 0 under serial
-  // execution; executed events are policy-invariant by the determinism
-  // contract (the parallel suites pin exact equality).
+  // Scheduler accounting: events executed.
   std::uint64_t sched_executed_events = 0;
-  std::uint64_t sched_windows = 0;
-  std::uint64_t sched_parallel_events = 0;
 
   // Memory accounting over the run (scenario build + traffic), from the
   // process-wide counters in util/alloc_stats.h and util/pool.h:

@@ -34,33 +34,18 @@ class CAPABILITY("mutex") Mutex {
   std::mutex m_;
 };
 
-// Scoped lock over Mutex, relockable mid-scope: the scheduler's window
-// engine unlocks around callback execution and relocks to publish
-// completion, and the analysis follows both transitions. The `held_`
-// flag keeps the destructor correct after a manual unlock().
+// Scoped lock over Mutex.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) ACQUIRE(mutex) : mutex_(mutex) {
     mutex_.lock();
   }
-  ~MutexLock() RELEASE() {
-    if (held_) mutex_.unlock();
-  }
+  ~MutexLock() RELEASE() { mutex_.unlock(); }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  void unlock() RELEASE() {
-    mutex_.unlock();
-    held_ = false;
-  }
-  void lock() ACQUIRE() {
-    mutex_.lock();
-    held_ = true;
-  }
-
  private:
   Mutex& mutex_;
-  bool held_ = true;
 };
 
 // Condition variable waiting on an annotated Mutex. Predicate loops are

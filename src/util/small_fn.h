@@ -6,8 +6,8 @@
 // callback the simulator schedules today — and boxes larger ones
 // through the BufferPool, so steady-state event scheduling allocates
 // nothing from the system heap. Move-only (no copy), matching how the
-// scheduler actually handles callbacks: constructed once, moved through
-// the heap/window engine, invoked, destroyed.
+// scheduler actually handles callbacks: constructed once, moved into an
+// event slot, invoked, destroyed.
 #pragma once
 
 #include <cstddef>

@@ -10,8 +10,7 @@
 //
 // The vocabulary follows the clang documentation
 // (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html): a CAPABILITY
-// is a resource (a mutex, or something more abstract like the
-// scheduler's canonical shared turn) that threads acquire and release;
+// is a resource (a mutex) that threads acquire and release;
 // GUARDED_BY ties data to the capability that must be held to touch it.
 #pragma once
 
@@ -51,9 +50,7 @@
   HYDRA_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 // Declares that the function somehow ensures the capability is held on
-// return without a matching release (the scheduler's idempotent
-// acquire_shared_turn, which is implicitly released when the calling
-// event completes, is the canonical user).
+// return without a matching release.
 #define ASSERT_CAPABILITY(x) HYDRA_THREAD_ANNOTATION(assert_capability(x))
 
 // Returns a reference to the capability guarding the returned data.
