@@ -24,8 +24,8 @@ topo::ExperimentConfig flood_config(GridSize size,
   topo::ExperimentConfig cfg;
   cfg.scenario = topo::ScenarioSpec::grid(size.rows, size.cols);
   // 10 m spacing: only the four lattice neighbors are audible, and the
-  // reach radius (~36.5 m at the paper's tx power) covers a few rings of
-  // the lattice rather than the whole world.
+  // reach radius (~10.7 m at the paper's tx power, the distance at which
+  // a frame falls to the CCA threshold) covers exactly those four.
   cfg.scenario.spacing_m = 10.0;
   // Pure flooding load — no sessions, every node broadcasts. The metric
   // is medium fan-out, not end-to-end routing.
@@ -84,7 +84,7 @@ int main() {
       "neighbor count (~O(k), flat in N).");
   bench::comment(
       "Culled delivery is bit-identical to full mesh — the cull floor "
-      "sits below the CCA threshold, so skipped receivers were "
-      "behaviourally inert (test-pinned by medium_test).");
+      "is the CCA threshold, so skipped receivers were behaviourally "
+      "inert (test-pinned by medium_test).");
   return 0;
 }

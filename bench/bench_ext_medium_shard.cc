@@ -29,9 +29,9 @@ constexpr unsigned kThreads = 4;
 topo::ExperimentConfig flood_config(topo::MediumPolicy policy) {
   topo::ExperimentConfig cfg;
   cfg.scenario = topo::ScenarioSpec::grid(25, 40);
-  // 10 m spacing: the reach radius (~36.5 m) covers a few rings of the
-  // lattice, and the 390 m wide world spans ~11 grid cell columns — the
-  // stripes the sharded backend actually cuts.
+  // 10 m spacing: the reach radius (~10.7 m) covers the four lattice
+  // neighbours, and the 390 m wide world spans ~37 grid cell columns —
+  // the stripes the sharded backend actually cuts.
   cfg.scenario.spacing_m = 10.0;
   cfg.scenario.sessions.clear();
   cfg.scenario.medium.policy = policy;

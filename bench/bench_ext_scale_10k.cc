@@ -52,8 +52,8 @@ topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols,
                               topo::MediumPolicy medium,
                               std::size_t shard_threads) {
   auto spec = topo::ScenarioSpec::grid(rows, cols);
-  // 10 m spacing: the reach radius (~36.5 m) covers a few rings of the
-  // lattice, so culled fan-out stays ~constant as N grows.
+  // 10 m spacing: the reach radius (~10.7 m) covers the four lattice
+  // neighbours, so culled fan-out stays ~constant as N grows.
   spec.spacing_m = 10.0;
   // No sessions: flooding is one-hop broadcast and routes nothing. Static
   // routes stay on (the spec default); they cost the build nothing,

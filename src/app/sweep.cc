@@ -57,7 +57,7 @@ class Fingerprinter {
 // containers); elsewhere the fingerprints still work, they just lose
 // the compile-time reminder.
 #if defined(__GLIBCXX__) && defined(__x86_64__) && !defined(_GLIBCXX_DEBUG)
-static_assert(sizeof(topo::ScenarioSpec) == 368,
+static_assert(sizeof(topo::ScenarioSpec) == 360,
               "ScenarioSpec changed: update spec_fingerprint");
 static_assert(sizeof(topo::MobilitySpec) == 96,
               "MobilitySpec changed: update spec_fingerprint");
@@ -65,7 +65,7 @@ static_assert(sizeof(topo::NodeParams) == 128,
               "NodeParams changed: update spec_fingerprint");
 static_assert(sizeof(core::AggregationPolicy) == 48,
               "AggregationPolicy changed: update spec_fingerprint");
-static_assert(sizeof(topo::ExperimentConfig) == 576,
+static_assert(sizeof(topo::ExperimentConfig) == 568,
               "ExperimentConfig changed: update workload_fingerprint");
 static_assert(sizeof(transport::TcpConfig) == 96,
               "TcpConfig changed: update workload_fingerprint");
@@ -101,9 +101,9 @@ std::string spec_fingerprint(const topo::ScenarioSpec& spec) {
   // shard_threads rides along even though the determinism contract
   // makes it outcome-neutral: a fingerprint that hand-waves "this field
   // can't matter" is how aliasing bugs start.
-  fp.add("w%d sr%d rd%d cm%.17g sh%zu ", spec.neighbor_whitelist,
+  fp.add("w%d sr%d rd%d sh%zu ", spec.neighbor_whitelist,
          spec.static_routes, spec.route_discovery,
-         spec.medium.cull_margin_db, spec.medium.shard_threads);
+         spec.medium.shard_threads);
   // Mobility changes the outcome through node motion and churn; every
   // knob (including the explicit mobile list) feeds the key.
   const auto& mob = spec.mobility;

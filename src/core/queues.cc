@@ -5,7 +5,7 @@
 namespace hydra::core {
 
 bool SubframeQueue::push(proto::MacSubframe subframe, sim::TimePoint now) {
-  if (q_.size() >= limit_) {
+  if (size() >= limit_) {
     ++drops_;
     return false;
   }
@@ -14,9 +14,16 @@ bool SubframeQueue::push(proto::MacSubframe subframe, sim::TimePoint now) {
 }
 
 QueuedSubframe SubframeQueue::pop() {
-  HYDRA_ASSERT(!q_.empty());
-  QueuedSubframe out = std::move(q_.front());
-  q_.pop_front();
+  HYDRA_ASSERT(!empty());
+  QueuedSubframe out = std::move(q_[head_]);
+  ++head_;
+  if (head_ == q_.size()) {
+    q_.clear();  // keeps the capacity for the next burst
+    head_ = 0;
+  } else if (2 * head_ >= q_.size()) {
+    q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   return out;
 }
 

@@ -2,9 +2,10 @@
 // subframes (true broadcasts + reclassified TCP ACKs), one for unicast.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "proto/frames.h"
 #include "sim/time.h"
@@ -25,22 +26,31 @@ class SubframeQueue {
   bool push(proto::MacSubframe subframe, sim::TimePoint now);
 
   const QueuedSubframe* front() const {
-    return q_.empty() ? nullptr : &q_.front();
+    return empty() ? nullptr : &q_[head_];
   }
   QueuedSubframe pop();
 
-  bool empty() const { return q_.empty(); }
-  std::size_t size() const { return q_.size(); }
+  bool empty() const { return head_ == q_.size(); }
+  std::size_t size() const { return q_.size() - head_; }
   std::size_t limit() const { return limit_; }
   std::uint64_t drops() const { return drops_; }
 
-  // Iteration for aggregation decisions (peek without consuming).
-  auto begin() const { return q_.begin(); }
+  // Iteration for aggregation decisions (peek without consuming), oldest
+  // first. Invalidated by push and pop.
+  auto begin() const {
+    return q_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
   auto end() const { return q_.end(); }
 
  private:
   std::size_t limit_;
-  std::deque<QueuedSubframe> q_;
+  // The queued entries are q_[head_, q_.size()). pop() advances head_
+  // and compacts once the consumed prefix is at least half of q_, so an
+  // entry moves O(1) times amortized and q_ never holds more than twice
+  // the limit. Unlike a std::deque, an empty vector owns no storage: a
+  // queue that never sees traffic never allocates.
+  std::vector<QueuedSubframe> q_;
+  std::size_t head_ = 0;
   std::uint64_t drops_ = 0;
 };
 

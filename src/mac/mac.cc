@@ -567,18 +567,11 @@ std::uint32_t dedup_key(const proto::MacSubframe& sf) {
 }  // namespace
 
 bool Mac::already_delivered(const proto::MacSubframe& sf) const {
-  return dedup_set_.contains(dedup_key(sf));
+  return delivered_.contains(dedup_key(sf));
 }
 
 void Mac::remember_delivered(const proto::MacSubframe& sf) {
-  constexpr std::size_t kDedupWindow = 256;
-  if (dedup_set_.insert(dedup_key(sf)).second) {
-    dedup_fifo_.push_back(dedup_key(sf));
-    if (dedup_fifo_.size() > kDedupWindow) {
-      dedup_set_.erase(dedup_fifo_.front());
-      dedup_fifo_.pop_front();
-    }
-  }
+  delivered_.remember(dedup_key(sf));
 }
 
 }  // namespace hydra::mac

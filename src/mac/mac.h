@@ -16,11 +16,9 @@
 //    duplicated up the stack.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -35,6 +33,7 @@
 #include "phy/phy.h"
 #include "sim/simulation.h"
 #include "sim/timer.h"
+#include "util/recent_keys.h"
 
 namespace hydra::mac {
 
@@ -168,11 +167,8 @@ class Mac {
   // Outgoing subframe sequence numbers (802.11 sequence control).
   std::uint16_t next_sequence_ = 1;
   // Duplicate suppression for retransmitted unicast subframes, keyed on
-  // (transmitter, sequence). The FIFO carries the eviction order, so
-  // the set is pure membership.
-  std::deque<std::uint32_t> dedup_fifo_;
-  std::unordered_set<std::uint32_t> dedup_set_;  // hydra-lint: allow(unordered-member) — contains/insert/erase only; eviction iterates dedup_fifo_, never the set
-
+  // (transmitter, sequence): the last 256 distinct keys delivered.
+  util::RecentKeys<std::uint32_t, 256> delivered_;
 };
 
 }  // namespace hydra::mac

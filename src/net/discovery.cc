@@ -70,14 +70,7 @@ void RouteDiscovery::on_timeout() {
 bool RouteDiscovery::seen_before(proto::Ipv4Address origin, std::uint16_t id) {
   const std::uint64_t key =
       (std::uint64_t{origin.value()} << 16) | id;
-  if (!seen_.insert(key).second) return true;
-  seen_fifo_.push_back(key);
-  constexpr std::size_t kWindow = 512;
-  if (seen_fifo_.size() > kWindow) {
-    seen_.erase(seen_fifo_.front());
-    seen_fifo_.pop_front();
-  }
-  return false;
+  return !seen_.remember(key);
 }
 
 void RouteDiscovery::learn_route(proto::Ipv4Address dst, proto::MacAddress via) {

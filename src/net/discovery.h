@@ -21,13 +21,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <set>
 
 #include "net/node.h"
 #include "sim/timer.h"
+#include "util/recent_keys.h"
 
 namespace hydra::net {
 
@@ -84,9 +83,8 @@ class RouteDiscovery {
   std::optional<Pending> pending_;
   sim::Timer timeout_timer_;
 
-  // Duplicate-RREQ suppression, bounded FIFO of (origin, id).
-  std::set<std::uint64_t> seen_;
-  std::deque<std::uint64_t> seen_fifo_;
+  // Duplicate-RREQ suppression: the last 512 distinct (origin, id) keys.
+  util::RecentKeys<std::uint64_t, 512> seen_;
 
   std::uint64_t rreqs_sent_ = 0;
   std::uint64_t rreqs_relayed_ = 0;

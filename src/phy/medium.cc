@@ -35,11 +35,7 @@ sim::Duration propagation_delay(const MediumConfig& config, double distance) {
 }
 
 double cull_floor_dbm(const MediumConfig& config) {
-  // Clamped to the CCA threshold: anything quieter than CCA can neither
-  // assert the channel nor collide nor decode, so a floor at or below it
-  // culls only behaviourally inert deliveries.
-  return std::min(config.noise_floor_dbm - config.cull_margin_db,
-                  config.cca_threshold_dbm);
+  return config.cca_threshold_dbm;
 }
 
 double reach_radius_m(const MediumConfig& config, double tx_power_dbm) {

@@ -9,12 +9,12 @@
 //
 //   kFullMesh  every other attached PHY — exact paper parity; O(N) events
 //              per frame regardless of geometry.
-//   kCulled    only PHYs whose receive power clears the cull floor
-//              (noise floor − cull_margin_db, never above the CCA
-//              threshold). Receivers below the CCA threshold are
-//              behaviourally inert — they cannot assert CCA, collide, or
-//              decode — so culling them is bit-identical to full mesh
-//              while cutting event traffic to O(k) reachable neighbors.
+//   kCulled    only PHYs whose receive power reaches the CCA threshold
+//              (cull_floor_dbm). A quieter reception is inert in this
+//              receive model — it cannot assert CCA, collide, or decode,
+//              and draws no RNG — so culling it is bit-identical to full
+//              mesh while cutting event traffic to the O(k) receivers
+//              that can hear the frame.
 //   kSharded   the culled receiver set, computed in parallel: the
 //              spatial grid's cell columns are cut into stripes
 //              (ShardPlan) and a persistent util::TaskPool computes the
@@ -73,11 +73,6 @@ struct MediumConfig {
 
   // Which receivers a transmission is delivered to.
   DeliveryPolicy delivery = DeliveryPolicy::kFullMesh;
-  // kCulled/kSharded drop receivers more than this margin below the
-  // noise floor. The effective floor is additionally clamped to the CCA
-  // threshold (see cull_floor_dbm), which is what guarantees culled
-  // delivery stays bit-identical to full mesh.
-  double cull_margin_db = 10.0;
   // kSharded: worker count (== stripe count, further capped by the
   // grid's column count). 0 resolves to the hardware concurrency,
   // capped at 8 — see resolve_shard_threads.
@@ -92,14 +87,19 @@ double path_loss_db(const MediumConfig& config, double distance);
 // and clamped to the same 1 m floor as the path-loss model.
 sim::Duration propagation_delay(const MediumConfig& config, double distance);
 
-// The receive-power floor below which kCulled skips delivery: noise
-// floor − cull margin, but never above the CCA threshold.
+// The receive-power floor below which kCulled/kSharded skip delivery:
+// the CCA threshold. Receptions under it are inert only because the
+// receive model has no interference sum and no capture — Phy::cca_busy,
+// rx_start's collision check and rx_end's decode all ignore them. A
+// SINR model, where sub-CCA energy adds to the interference of audible
+// frames, must lower this floor again (e.g. a margin under the noise
+// floor), or culled delivery stops matching full mesh.
 double cull_floor_dbm(const MediumConfig& config);
 
 // The largest distance at which a transmitter at `tx_power_dbm` still
-// clears the cull floor (≥ 1 m; the path-loss clamp applies to both
-// branches — a cull floor barely under the tx power must not yield a
-// sub-metre reach).
+// clears the cull floor: ~10.7 m at the paper's 8.86 dBm. Never below
+// 1 m — the path-loss clamp applies to both branches, so a cull floor
+// barely under the tx power must not yield a sub-metre reach.
 double reach_radius_m(const MediumConfig& config, double tx_power_dbm);
 
 // The worker count the sharded backend runs with: the configured

@@ -67,9 +67,10 @@ class Phy {
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_received() const { return frames_received_; }
   std::uint64_t collisions_seen() const { return collisions_; }
-  // Deliveries the medium started at this PHY (audible or not); a culled
-  // medium never delivers to out-of-reach receivers, so this stays 0
-  // there — the cull-correctness tests pin that.
+  // Deliveries the medium started at this PHY. Full mesh counts
+  // inaudible ones too; a culled medium delivers only frames at or above
+  // the CCA threshold, so an out-of-reach receiver stays at 0 there —
+  // the cull-correctness tests pin that.
   std::uint64_t rx_starts() const { return rx_starts_; }
 
  private:

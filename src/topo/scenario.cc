@@ -390,7 +390,6 @@ std::vector<std::uint32_t> ScenarioSpec::relay_indices(
 
 phy::MediumConfig ScenarioSpec::medium_config() const {
   phy::MediumConfig mc;
-  mc.cull_margin_db = medium.cull_margin_db;
   mc.shard_threads = medium.shard_threads;
   switch (medium.policy) {
     case MediumPolicy::kAuto:

@@ -66,8 +66,6 @@ std::string to_string(MediumPolicy policy);
 // them (plus the topology's size) into a phy::MediumConfig.
 struct MediumTuning {
   MediumPolicy policy = MediumPolicy::kAuto;
-  // Passed through to phy::MediumConfig::cull_margin_db.
-  double cull_margin_db = 10.0;
   // kSharded: worker/stripe count; 0 resolves to the host's hardware
   // concurrency (capped at 8) at rebuild time — see
   // phy::resolve_shard_threads. The spatial grid caps the stripe count
@@ -133,7 +131,7 @@ struct ScenarioSpec {
 
   NodeParams node;
 
-  // Medium delivery policy and cull tuning (see MediumTuning).
+  // Medium delivery policy and shard count (see MediumTuning).
   MediumTuning medium;
 
   // Motion/churn while traffic runs (see topo/mobility.h); kNone keeps

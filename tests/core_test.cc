@@ -2,6 +2,9 @@
 // and aggregate assembly under every policy.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <vector>
+
 #include "core/aggregator.h"
 #include "core/classifier.h"
 #include "core/policy.h"
@@ -104,6 +107,78 @@ TEST(Queues, LimitDropsAndCounts) {
   EXPECT_FALSE(q.push(subframe(tcp_data(), 1), {}));
   EXPECT_EQ(q.drops(), 1u);
   EXPECT_EQ(q.size(), 2u);
+}
+
+// Interleaved pushes and pops drive the storage through growth, full
+// drains and prefix compaction; at every step the queue must match a
+// std::deque reference in size, front, drop count and iteration order.
+TEST(Queues, InterleavedPushPopKeepsFifoOrderAndIteration) {
+  constexpr std::size_t kLimit = 12;
+  SubframeQueue q(kLimit);
+  std::deque<std::uint32_t> ref;
+  std::uint64_t ref_drops = 0;
+  std::uint32_t next = 0;
+  // A deterministic script: bursts of pushes (some past the limit) and
+  // pops of varying length, 4000 operations in all.
+  std::uint32_t lcg = 12345;
+  for (int op = 0; op < 4000; ++op) {
+    lcg = lcg * 1103515245u + 12345u;
+    const bool push = (lcg >> 16) % 7 < (op % 200 < 100 ? 4u : 3u);
+    if (push) {
+      const std::uint32_t id = next++;
+      const bool accepted = q.push(subframe(tcp_data(id), 1),
+                                   sim::TimePoint::at(sim::Duration::micros(id)));
+      EXPECT_EQ(accepted, ref.size() < kLimit) << "op " << op;
+      if (ref.size() < kLimit) {
+        ref.push_back(id);
+      } else {
+        ++ref_drops;
+      }
+    } else if (!ref.empty()) {
+      EXPECT_EQ(q.pop().subframe.packet->payload_bytes, ref.front())
+          << "op " << op;
+      ref.pop_front();
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "op " << op;
+    ASSERT_EQ(q.empty(), ref.empty());
+    EXPECT_EQ(q.drops(), ref_drops);
+    if (ref.empty()) {
+      EXPECT_EQ(q.front(), nullptr);
+    } else {
+      EXPECT_EQ(q.front()->subframe.packet->payload_bytes, ref.front());
+      EXPECT_EQ(q.front()->enqueued,
+                sim::TimePoint::at(sim::Duration::micros(ref.front())));
+    }
+    std::vector<std::uint32_t> seen;
+    for (const auto& queued : q) seen.push_back(queued.subframe.packet->payload_bytes);
+    EXPECT_EQ(seen, std::vector<std::uint32_t>(ref.begin(), ref.end()))
+        << "op " << op;
+  }
+  EXPECT_GT(ref_drops, 0u) << "the script should overrun the limit";
+  EXPECT_GT(next, 10 * kLimit) << "the script should cycle the storage";
+}
+
+TEST(Queues, FullQueueDropsAndCountsAfterCycling) {
+  SubframeQueue q(3);
+  // Cycle entries through so the head has moved before the queue fills.
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(q.push(subframe(tcp_data(i), 1), {}));
+    if (i % 2 == 0) q.pop();
+  }
+  ASSERT_EQ(q.size(), q.limit());
+  const std::uint32_t head = q.front()->subframe.packet->payload_bytes;
+  EXPECT_EQ(head, 3u);
+  EXPECT_FALSE(q.push(subframe(tcp_data(100), 1), {}));
+  EXPECT_FALSE(q.push(subframe(tcp_data(101), 1), {}));
+  EXPECT_EQ(q.drops(), 2u);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.front()->subframe.packet->payload_bytes, head);
+  q.pop();
+  EXPECT_TRUE(q.push(subframe(tcp_data(102), 1), {}));
+  EXPECT_EQ(q.drops(), 2u);
+  std::vector<std::uint32_t> seen;
+  for (const auto& queued : q) seen.push_back(queued.subframe.packet->payload_bytes);
+  EXPECT_EQ(seen.back(), 102u);
 }
 
 TEST(Queues, OldestEnqueueAcrossBothQueues) {

@@ -1,15 +1,19 @@
 // The pluggable medium: reachability-culled delivery must be
 // bit-identical to full mesh (the acceptance bar for making it the
-// default on large scenarios), the spatial index must find every
-// in-reach receiver across cell boundaries, and the propagation-delay
-// fix (round to nearest, 1 m clamp) is pinned here.
+// default on large scenarios), every culled list must hold exactly the
+// receivers at or above the CCA threshold, the spatial index must find
+// every in-reach receiver across cell boundaries, and the
+// propagation-delay fix (round to nearest, 1 m clamp) is pinned here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "app/experiment.h"
+#include "app/flood.h"
 #include "app/udp_cbr.h"
 #include "app/udp_sink.h"
 #include "phy/medium.h"
@@ -52,8 +56,9 @@ TEST(MediumMath, ReachRadiusInvertsThePathLossModel) {
   // At the reach radius the receive power sits exactly on the cull floor.
   EXPECT_NEAR(tx_dbm - phy::path_loss_db(config, reach),
               phy::cull_floor_dbm(config), 1e-9);
-  // ~36.5 m under the default model; far beyond the paper's 7.5 m spans.
-  EXPECT_NEAR(reach, 36.5, 0.5);
+  // ~10.7 m under the default model: beyond the paper's 7.5 m spans, and
+  // past a 10 m grid's 4 nearest neighbours.
+  EXPECT_NEAR(reach, 10.7, 0.05);
 }
 
 TEST(MediumMath, ReachRadiusNeverDropsBelowOneMetre) {
@@ -65,7 +70,6 @@ TEST(MediumMath, ReachRadiusNeverDropsBelowOneMetre) {
   phy::MediumConfig config;
   config.path_loss_at_1m_db = 40.0;
   config.noise_floor_dbm = -50.0;
-  config.cull_margin_db = 0.0;
   config.cca_threshold_dbm = -50.0;  // floor = -50 dBm
   // tx power barely above floor + 1 m loss: budget = tx - (-50) - 40.
   for (const double tx_dbm : {-10.5, -10.1, -10.0, -9.999, -9.9, -9.0}) {
@@ -78,14 +82,14 @@ TEST(MediumMath, ReachRadiusNeverDropsBelowOneMetre) {
 }
 
 TEST(MediumMath, CullFloorNeverRisesAboveCcaThreshold) {
+  // A floor at the CCA threshold is what guarantees culled == full mesh:
+  // only receivers that are inert (below CCA) are ever culled, and every
+  // audible one is kept. The floor follows the threshold, not the noise.
   phy::MediumConfig config;
-  config.cull_margin_db = -50.0;  // would put the floor above CCA
-  // The clamp is what guarantees culled == full mesh: only receivers
-  // that are inert (below CCA) may ever be culled.
-  EXPECT_LE(phy::cull_floor_dbm(config), config.cca_threshold_dbm);
-  config.cull_margin_db = 10.0;
-  EXPECT_DOUBLE_EQ(phy::cull_floor_dbm(config),
-                   config.noise_floor_dbm - 10.0);
+  EXPECT_DOUBLE_EQ(phy::cull_floor_dbm(config), config.cca_threshold_dbm);
+  config.cca_threshold_dbm = -82.0;
+  config.noise_floor_dbm = -90.0;
+  EXPECT_DOUBLE_EQ(phy::cull_floor_dbm(config), -82.0);
 }
 
 // ---------------------------------------------------------------------
@@ -110,8 +114,8 @@ TEST(MediumDelivery, CulledSkipsOutOfReachReceivers) {
   config.delivery = phy::DeliveryPolicy::kCulled;
   phy::Medium medium(s, config);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-  phy::Phy b(s, medium, {.position = {30, 0}}, 1);   // inside ~36.5 m reach
-  phy::Phy c(s, medium, {.position = {40, 0}}, 2);   // outside
+  phy::Phy b(s, medium, {.position = {10, 0}}, 1);   // inside ~10.7 m reach
+  phy::Phy c(s, medium, {.position = {12, 0}}, 2);   // outside
   a.transmit(test_frame());
   s.run();
   EXPECT_EQ(b.rx_starts(), 1u);
@@ -133,25 +137,25 @@ TEST(MediumDelivery, FullMeshDeliversEverywhereRegardlessOfReach) {
 }
 
 TEST(MediumDelivery, SpatialIndexFindsReceiversAcrossCellBoundaries) {
-  // Cells are one reach radius (~36.5 m) wide; 0 / 35 / 70 m puts the
+  // Cells are one reach radius (~10.7 m) wide; 0 / 10 / 20 m puts the
   // outer pair in different cells with the middle node in reach of both.
   sim::Simulation s(1);
   phy::MediumConfig config;
   config.delivery = phy::DeliveryPolicy::kCulled;
   phy::Medium medium(s, config);
   phy::Phy left(s, medium, {.position = {0, 0}}, 0);
-  phy::Phy mid(s, medium, {.position = {35, 0}}, 1);
-  phy::Phy right(s, medium, {.position = {70, 0}}, 2);
+  phy::Phy mid(s, medium, {.position = {10, 0}}, 1);
+  phy::Phy right(s, medium, {.position = {20, 0}}, 2);
 
   mid.transmit(test_frame());
   s.run();
-  EXPECT_EQ(left.rx_starts(), 1u);   // 35 m: in reach, neighbor cell
-  EXPECT_EQ(right.rx_starts(), 1u);  // 35 m the other way
+  EXPECT_EQ(left.rx_starts(), 1u);   // 10 m: in reach, neighbor cell
+  EXPECT_EQ(right.rx_starts(), 1u);  // 10 m the other way
 
   left.transmit(test_frame());
   s.run();
   EXPECT_EQ(mid.rx_starts(), 1u);
-  EXPECT_EQ(right.rx_starts(), 1u);  // 70 m from left: culled
+  EXPECT_EQ(right.rx_starts(), 1u);  // 20 m from left: culled
 }
 
 TEST(MediumDelivery, LateAttachRebuildsTheDeliveryLists) {
@@ -179,8 +183,8 @@ TEST(MediumDelivery, ShardedSkipsOutOfReachReceiversLikeCulled) {
   config.shard_threads = 4;
   phy::Medium medium(s, config);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-  phy::Phy b(s, medium, {.position = {30, 0}}, 1);   // inside ~36.5 m reach
-  phy::Phy c(s, medium, {.position = {40, 0}}, 2);   // outside
+  phy::Phy b(s, medium, {.position = {10, 0}}, 1);   // inside ~10.7 m reach
+  phy::Phy c(s, medium, {.position = {12, 0}}, 2);   // outside
   a.transmit(test_frame());
   s.run();
   EXPECT_EQ(b.rx_starts(), 1u);
@@ -262,17 +266,17 @@ TEST(MediumIncrementalAttach, OutOfBoundsAttachFallsBackToRebuild) {
   config.delivery = phy::DeliveryPolicy::kCulled;
   phy::Medium medium(s, config);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-  phy::Phy b(s, medium, {.position = {10, 0}}, 1);
+  phy::Phy b(s, medium, {.position = {5, 0}}, 1);
   a.transmit(test_frame());
   s.run();
   EXPECT_EQ(medium.rebuilds(), 1u);
 
-  phy::Phy outside(s, medium, {.position = {35, 0}}, 2);  // beyond max.x
+  phy::Phy outside(s, medium, {.position = {10, 0}}, 2);  // beyond max.x
   a.transmit(test_frame());
   s.run();
   EXPECT_EQ(medium.rebuilds(), 2u);
   EXPECT_EQ(medium.incremental_attaches(), 0u);
-  EXPECT_EQ(outside.rx_starts(), 1u);  // 35 m: in reach
+  EXPECT_EQ(outside.rx_starts(), 1u);  // 10 m: in reach
 }
 
 // ---------------------------------------------------------------------
@@ -287,9 +291,10 @@ TEST(MediumDetach, DetachRemovesBothDirectionsWithoutRebuilding) {
     config.delivery = policy;
     sim::Simulation s(1);
     phy::Medium medium(s, config);
+    // 0 / 5 / 10 m: everyone inside the ~10.7 m reach of everyone.
     phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-    phy::Phy b(s, medium, {.position = {10, 0}}, 1);
-    phy::Phy c(s, medium, {.position = {20, 0}}, 2);
+    phy::Phy b(s, medium, {.position = {5, 0}}, 1);
+    phy::Phy c(s, medium, {.position = {10, 0}}, 2);
     a.transmit(test_frame());
     s.run();
     EXPECT_EQ(medium.rebuilds(), 1u) << phy::to_string(policy);
@@ -380,11 +385,12 @@ TEST(MediumDetach, DestroyingAPhyMidFlightLeavesNoDanglingEvents) {
   phy::MediumConfig config;
   config.delivery = phy::DeliveryPolicy::kCulled;
   phy::Medium medium(s, config);
+  // 0 / 5 / 10 m: a and c hear each other across b.
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   auto b = std::make_unique<phy::Phy>(
-      s, medium, phy::PhyConfig{.position = {10, 0}}, 1);
+      s, medium, phy::PhyConfig{.position = {5, 0}}, 1);
   auto c = std::make_unique<phy::Phy>(
-      s, medium, phy::PhyConfig{.position = {20, 0}}, 2);
+      s, medium, phy::PhyConfig{.position = {10, 0}}, 2);
   a.transmit(test_frame());
   c->transmit(test_frame());
   s.run_until(s.now() + sim::Duration::micros(5));
@@ -401,7 +407,7 @@ TEST(MediumDetach, DestroyingAPhyMidFlightLeavesNoDanglingEvents) {
 // ---------------------------------------------------------------------
 
 TEST(MediumMove, MoveNodePatchesListsIncrementally) {
-  // 0/30/60 m spread: cells are one ~36.5 m reach wide, so the world
+  // 0/9/18 m spread: cells are one ~10.7 m reach wide, so the world
   // spans multiple cells and moving b from mid-span to the far end
   // changes who hears whom. In-box moves must patch incrementally.
   for (const auto policy :
@@ -412,15 +418,15 @@ TEST(MediumMove, MoveNodePatchesListsIncrementally) {
     sim::Simulation s(1);
     phy::Medium medium(s, config);
     phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-    phy::Phy b(s, medium, {.position = {30, 0}}, 1);
-    phy::Phy c(s, medium, {.position = {60, 0}}, 2);
+    phy::Phy b(s, medium, {.position = {9, 0}}, 1);
+    phy::Phy c(s, medium, {.position = {18, 0}}, 2);
     a.transmit(test_frame());
     s.run();
     EXPECT_EQ(b.rx_starts(), 1u) << phy::to_string(policy);
     EXPECT_EQ(medium.rebuilds(), 1u);
 
-    medium.move_node(b, {58, 0});  // in-box, out of a's ~36.5 m reach
-    EXPECT_DOUBLE_EQ(b.config().position.x_m, 58.0);
+    medium.move_node(b, {17, 0});  // in-box, out of a's ~10.7 m reach
+    EXPECT_DOUBLE_EQ(b.config().position.x_m, 17.0);
     a.transmit(test_frame());
     b.transmit(test_frame());
     s.run();
@@ -430,9 +436,9 @@ TEST(MediumMove, MoveNodePatchesListsIncrementally) {
       EXPECT_EQ(b.rx_starts(), 2u);
       EXPECT_EQ(c.rx_starts(), 3u);
     } else {
-      EXPECT_EQ(b.rx_starts(), 1u) << "58 m from a: culled";
-      // c heard nothing before the move (60 m from a) and hears the
-      // moved b from 2 m now.
+      EXPECT_EQ(b.rx_starts(), 1u) << "17 m from a: culled";
+      // c heard nothing before the move (18 m from a) and hears the
+      // moved b from 1 m now.
       EXPECT_EQ(c.rx_starts(), 1u) << phy::to_string(policy);
     }
     EXPECT_EQ(medium.rebuilds(), 1u) << phy::to_string(policy);
@@ -451,7 +457,7 @@ TEST(MediumMove, FarOutOfBoxMoveForcesRebuild) {
   config.delivery = phy::DeliveryPolicy::kCulled;
   phy::Medium medium(s, config);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-  phy::Phy b(s, medium, {.position = {30, 0}}, 1);
+  phy::Phy b(s, medium, {.position = {9, 0}}, 1);
   a.transmit(test_frame());
   s.run();
   EXPECT_EQ(medium.rebuilds(), 1u);
@@ -465,7 +471,7 @@ TEST(MediumMove, FarOutOfBoxMoveForcesRebuild) {
   EXPECT_EQ(b.rx_starts(), 1u) << "200 m away: correctly culled";
 
   // And back in: the rebuilt grid covers the new box, delivery resumes.
-  medium.move_node(b, {10, 0});
+  medium.move_node(b, {5, 0});
   a.transmit(test_frame());
   s.run();
   EXPECT_EQ(b.rx_starts(), 2u);
@@ -725,7 +731,7 @@ TEST(MediumEquivalence, CulledMatchesFullMeshWhenCullingActuallyDrops) {
 }
 
 topo::ScenarioSpec sparse_with_outlier() {
-  // Three chained nodes plus one 500 m away — far outside the ~36.5 m
+  // Three chained nodes plus one 500 m away — far outside the ~10.7 m
   // reach radius. The outlier takes no part in routing or sessions.
   auto spec = topo::ScenarioSpec::random(4, 1);
   spec.positions_override = {{0, 0}, {2.5, 0}, {5, 0}, {500, 0}};
@@ -766,6 +772,240 @@ TEST(MediumCull, FullMeshStillBothersTheOutlier) {
   // And because the outlier is inert, the delivered traffic is
   // identical either way.
   EXPECT_GT(sink.packets(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Audibility: a culled list holds exactly the receivers that can hear
+// ---------------------------------------------------------------------
+
+// The brute-force reference: every other attached PHY whose receive
+// power reaches the CCA threshold, in attach order.
+std::vector<const phy::Phy*> audible_receivers(const phy::Medium& medium,
+                                               const phy::Phy& src) {
+  std::vector<const phy::Phy*> out;
+  for (const phy::Phy* dst : medium.attached()) {
+    if (dst != &src && medium.rx_power_dbm(src, *dst) >=
+                           medium.config().cca_threshold_dbm) {
+      out.push_back(dst);
+    }
+  }
+  return out;
+}
+
+void expect_lists_are_audible_sets(phy::Medium& medium,
+                                   const std::string& ctx) {
+  const auto& backend = medium.backend();
+  for (const phy::Phy* src : medium.attached()) {
+    std::vector<const phy::Phy*> listed;
+    for (const auto& d : backend.deliveries(*src)) {
+      listed.push_back(d.destination);
+      EXPECT_GE(d.rx_power_dbm, medium.config().cca_threshold_dbm)
+          << ctx << ": inaudible delivery from phy " << src->id();
+    }
+    EXPECT_EQ(listed, audible_receivers(medium, *src))
+        << ctx << ": list of phy " << src->id();
+  }
+}
+
+TEST(MediumAudibility, CulledListsEqualTheBruteForceAudibleSet) {
+  // Seeded random placements over a world several reach radii wide, at
+  // the paper's power, with a uniform tx power offset (the spec's
+  // tx_power_delta_db) and with mixed per-node powers (so the grid's
+  // cell width, sized by the loudest node, exceeds most reaches). The
+  // lists must match the reference after the build and again after a
+  // round of moves, some of which leave the grid's bounding box.
+  struct PowerCase {
+    const char* name;
+    double delta_db;
+    bool mixed;
+  };
+  const PowerCase cases[] = {
+      {"paper", 0.0, false}, {"delta+4.5", 4.5, false},
+      {"delta-3", -3.0, false}, {"mixed", 0.0, true}};
+  for (const auto policy :
+       {phy::DeliveryPolicy::kCulled, phy::DeliveryPolicy::kSharded}) {
+    for (const auto& power : cases) {
+      for (const std::uint64_t seed : {1, 2, 3}) {
+        const std::string ctx = std::string(phy::to_string(policy)) + " " +
+                                power.name + " seed " +
+                                std::to_string(seed);
+        sim::Simulation s(seed);
+        phy::MediumConfig config;
+        config.delivery = policy;
+        config.shard_threads = 3;
+        phy::Medium medium(s, config);
+        sim::Rng rng(seed);
+        std::vector<std::unique_ptr<phy::Phy>> phys;
+        for (std::uint32_t i = 0; i < 70; ++i) {
+          phy::PhyConfig pc;
+          pc.position = {rng.uniform() * 60.0, rng.uniform() * 40.0};
+          pc.tx_power_dbm += power.delta_db;
+          if (power.mixed && i % 3 == 0) pc.tx_power_dbm += 6.0;
+          phys.push_back(std::make_unique<phy::Phy>(s, medium, pc, i));
+        }
+        expect_lists_are_audible_sets(medium, ctx + " (built)");
+
+        for (int step = 0; step < 25; ++step) {
+          auto& mover = *phys[rng.uniform_int(0, phys.size() - 1)];
+          // Mostly in-box steps (the incremental path), every fifth one
+          // far outside (the rebuild fallback).
+          const phy::Position to =
+              step % 5 == 4
+                  ? phy::Position{150.0 + rng.uniform() * 50.0, 20.0}
+                  : phy::Position{rng.uniform() * 60.0, rng.uniform() * 40.0};
+          medium.move_node(mover, to);
+          expect_lists_are_audible_sets(
+              medium, ctx + " (move " + std::to_string(step) + ")");
+        }
+        EXPECT_GT(medium.incremental_moves(), 0u) << ctx;
+      }
+    }
+  }
+}
+
+// A 6x6 grid at 10 m spacing: each node hears its 4 nearest neighbours
+// (10 m, -94 dBm) and sits in the old -111..-95 dBm band of every node
+// from 14.1 m (the diagonal) to 36.1 m away.
+topo::ScenarioSpec sub_cca_band_grid() {
+  auto spec = topo::ScenarioSpec::grid(6, 6);
+  spec.spacing_m = 10.0;
+  spec.sessions = {{0, 14}, {35, 21}, {5, 30}};
+  return spec;
+}
+
+// Every MacStats counter, for exact comparison.
+std::vector<std::int64_t> counters(const mac::MacStats& st) {
+  return {static_cast<std::int64_t>(st.data_frames_tx),
+          static_cast<std::int64_t>(st.broadcast_subframes_tx),
+          static_cast<std::int64_t>(st.unicast_subframes_tx),
+          static_cast<std::int64_t>(st.data_bytes_tx),
+          static_cast<std::int64_t>(st.mac_header_bytes_tx),
+          static_cast<std::int64_t>(st.rts_tx),
+          static_cast<std::int64_t>(st.cts_tx),
+          static_cast<std::int64_t>(st.ack_tx),
+          static_cast<std::int64_t>(st.retries),
+          static_cast<std::int64_t>(st.retry_drops),
+          static_cast<std::int64_t>(st.queue_drops),
+          static_cast<std::int64_t>(st.delivered_up),
+          static_cast<std::int64_t>(st.dropped_not_for_us),
+          static_cast<std::int64_t>(st.crc_failures),
+          static_cast<std::int64_t>(st.aggregate_discards),
+          static_cast<std::int64_t>(st.duplicates_suppressed),
+          static_cast<std::int64_t>(st.acks_rx),
+          static_cast<std::int64_t>(st.collisions),
+          st.time.payload.ns(),
+          st.time.mac_header.ns(),
+          st.time.phy_header.ns(),
+          st.time.control.ns(),
+          st.time.ifs.ns(),
+          st.time.backoff.ns()};
+}
+
+struct BandRun {
+  std::uint32_t digest = 0;
+  std::string stats;
+  std::uint64_t transmissions = 0;
+  std::uint64_t deliveries = 0;
+};
+
+// Floods from every node plus UDP CBR over the first session, traced.
+BandRun run_band_grid(topo::MediumPolicy policy, std::uint64_t seed) {
+  auto spec = sub_cca_band_grid();
+  spec.medium.policy = policy;
+  auto s = topo::Scenario::build(spec, seed);
+  s.capture_traces();
+  const auto [sender, receiver] = spec.sessions.front();
+  app::UdpSinkApp sink(s.sim(), s.node(receiver), 9001);
+  app::UdpCbrConfig cbr_cfg;
+  cbr_cfg.destination = {proto::Ipv4Address::for_node(receiver), 9001};
+  cbr_cfg.packets_per_tick = 3;
+  cbr_cfg.stop = sim::TimePoint::at(sim::Duration::seconds(2));
+  app::UdpCbrApp cbr(s.sim(), s.node(sender), cbr_cfg);
+  cbr.start();
+  std::vector<std::unique_ptr<app::FloodApp>> flooders;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    app::FloodConfig fc;
+    fc.interval = sim::Duration::millis(300);
+    fc.initial_offset = sim::Duration::millis(13) * (i + 1);
+    flooders.push_back(
+        std::make_unique<app::FloodApp>(s.sim(), s.node(i), fc));
+    flooders.back()->start();
+  }
+  s.run_for(sim::Duration::seconds(3));
+  EXPECT_GT(sink.packets(), 0u) << topo::to_string(policy);
+  return {s.trace_digest(), s.metrics_summary(),
+          s.medium().transmissions_started(),
+          s.medium().deliveries_scheduled()};
+}
+
+TEST(MediumAudibility, SubCcaBandIsInertUnderFloodAndCbr) {
+  const auto spec = sub_cca_band_grid();
+  // The geometry really exercises the band the CCA floor now culls:
+  // ordered pairs under the threshold but above the old floor at noise
+  // − 10 dB.
+  const auto config = spec.medium_config();
+  const double tx_dbm = phy::PhyConfig{}.tx_power_dbm;
+  std::size_t band_pairs = 0;
+  const auto positions = spec.positions();
+  for (std::size_t a = 0; a < positions.size(); ++a) {
+    for (std::size_t b = 0; b < positions.size(); ++b) {
+      if (a == b) continue;
+      const double rx =
+          tx_dbm - phy::path_loss_db(
+                       config, phy::distance_m(positions[a], positions[b]));
+      if (rx < config.cca_threshold_dbm &&
+          rx >= config.noise_floor_dbm - 10.0) {
+        ++band_pairs;
+      }
+    }
+  }
+  EXPECT_GE(band_pairs, 500u);
+
+  for (const std::uint64_t seed : {1, 4}) {
+    const auto full = run_band_grid(topo::MediumPolicy::kFullMesh, seed);
+    const auto culled = run_band_grid(topo::MediumPolicy::kCulled, seed);
+    EXPECT_EQ(full.digest, culled.digest) << "seed " << seed;
+    EXPECT_EQ(full.stats, culled.stats) << "seed " << seed;
+    EXPECT_EQ(full.transmissions, culled.transmissions) << "seed " << seed;
+    EXPECT_LT(culled.deliveries, full.deliveries) << "seed " << seed;
+  }
+}
+
+TEST(MediumAudibility, SubCcaBandIsInertForTcpFlows) {
+  // Multi-hop TCP over the same grid: per-flow results and every MAC
+  // counter of every node must match, while culling schedules fewer
+  // deliveries.
+  auto run = [](topo::MediumPolicy policy) {
+    topo::ExperimentConfig cfg;
+    cfg.scenario = sub_cca_band_grid();
+    cfg.scenario.medium.policy = policy;
+    cfg.traffic = topo::TrafficKind::kTcp;
+    cfg.tcp_file_bytes = 30'000;
+    cfg.max_sim_time = sim::Duration::seconds(30);
+    cfg.seed = 3;
+    return app::run_experiment(cfg);
+  };
+  const auto full = run(topo::MediumPolicy::kFullMesh);
+  const auto culled = run(topo::MediumPolicy::kCulled);
+
+  ASSERT_EQ(full.flows.size(), culled.flows.size());
+  for (std::size_t f = 0; f < full.flows.size(); ++f) {
+    EXPECT_GT(full.flows[f].bytes, 0u) << "flow " << f;
+    EXPECT_EQ(full.flows[f].bytes, culled.flows[f].bytes) << "flow " << f;
+    EXPECT_EQ(full.flows[f].completed, culled.flows[f].completed);
+    EXPECT_EQ(full.flows[f].elapsed.ns(), culled.flows[f].elapsed.ns());
+    EXPECT_EQ(full.flows[f].throughput_mbps, culled.flows[f].throughput_mbps);
+  }
+  ASSERT_EQ(full.node_stats.size(), culled.node_stats.size());
+  for (std::size_t n = 0; n < full.node_stats.size(); ++n) {
+    EXPECT_EQ(counters(full.node_stats[n]), counters(culled.node_stats[n]))
+        << "node " << n;
+  }
+  EXPECT_EQ(full.sched_executed_events - full.phy_deliveries * 2,
+            culled.sched_executed_events - culled.phy_deliveries * 2)
+      << "only the culled rx_start/rx_end pairs may go";
+  EXPECT_EQ(full.phy_transmissions, culled.phy_transmissions);
+  EXPECT_LT(culled.phy_deliveries, full.phy_deliveries);
 }
 
 }  // namespace

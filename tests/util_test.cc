@@ -1,8 +1,11 @@
 // Unit tests: byte buffers, CRC-32, units.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/buffer.h"
 #include "util/crc32.h"
+#include "util/recent_keys.h"
 #include "util/units.h"
 
 namespace hydra {
@@ -127,6 +130,48 @@ TEST(BitRate, ConstructionAndConversion) {
 
 TEST(BitRate, ToString) {
   EXPECT_EQ(to_string(BitRate::mbps_x100(65)), "0.65 Mbps");
+}
+
+// The MAC's retransmission dedup window (RecentKeys<uint32_t, 256>).
+TEST(RecentKeys, The257thDistinctKeyEvictsTheOldest) {
+  util::RecentKeys<std::uint32_t, 256> window;
+  for (std::uint32_t key = 1; key <= 256; ++key) {
+    EXPECT_TRUE(window.remember(key));
+  }
+  EXPECT_EQ(window.size(), 256u);
+  for (std::uint32_t key = 1; key <= 256; ++key) {
+    EXPECT_TRUE(window.contains(key)) << key;
+  }
+  // A repeat is refused and does not refresh or evict anything.
+  EXPECT_FALSE(window.remember(1));
+  EXPECT_TRUE(window.contains(1));
+
+  EXPECT_TRUE(window.remember(257));
+  EXPECT_FALSE(window.contains(1)) << "the oldest key must be evicted";
+  EXPECT_TRUE(window.contains(2));
+  EXPECT_TRUE(window.contains(257));
+  EXPECT_EQ(window.size(), 256u);
+
+  // The evicted key is accepted again, and evicts the next oldest.
+  EXPECT_TRUE(window.remember(1));
+  EXPECT_TRUE(window.contains(1));
+  EXPECT_FALSE(window.contains(2));
+  EXPECT_TRUE(window.contains(3));
+}
+
+TEST(RecentKeys, EvictsInInsertionOrderAcrossManyWraps) {
+  // Route discovery's RREQ window, 512 keys: after any number of
+  // distinct keys, exactly the newest 512 are members.
+  util::RecentKeys<std::uint64_t, 512> window;
+  for (std::uint64_t key = 0; key < 3000; ++key) {
+    ASSERT_TRUE(window.remember(key * 7919));
+    if (key % 250 == 0 || key == 2999) {
+      for (std::uint64_t old = 0; old <= key; ++old) {
+        ASSERT_EQ(window.contains(old * 7919), key - old < 512)
+            << "after " << key << ", key " << old;
+      }
+    }
+  }
 }
 
 }  // namespace

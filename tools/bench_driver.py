@@ -18,7 +18,10 @@ Usage:
                           [--baseline PATH] [--update-baseline PATH]
                           [--threshold PCT] [--allow-removed NAME ...]
 
-The aggregate lands in <build-dir>/bench/BENCH_REPORT.json by default.
+The benches run are the ones the build configured, as listed in
+<build-dir>/bench/bench_targets.txt; a stale bench_* binary whose source
+was deleted is not run. The aggregate lands in
+<build-dir>/bench/BENCH_REPORT.json by default.
 bench_micro (google-benchmark) is skipped: it has no JSON report and
 measures wall-clock, which a saturated machine would distort.
 
@@ -48,6 +51,10 @@ import time
 from pathlib import Path
 
 SKIP = {"bench_micro"}
+
+# Written by bench/CMakeLists.txt into <build-dir>/bench: the configured
+# bench targets, one per line.
+MANIFEST = "bench_targets.txt"
 
 # Columns whose values depend on the host machine rather than on the
 # (deterministic) simulation — the only cells not worth pinning. Wall
@@ -140,16 +147,26 @@ def check_baseline(metrics: dict[str, float], baseline: dict,
 
 
 def discover(bench_dir: Path) -> list[Path]:
+    """The benches to run: the targets bench/CMakeLists.txt lists in
+    <build-dir>/bench/bench_targets.txt, minus SKIP. Globbing the build
+    tree instead would also run stale binaries whose source is gone."""
+    manifest = bench_dir / MANIFEST
+    if not manifest.is_file():
+        sys.exit(f"bench_driver: no {MANIFEST} under {bench_dir} "
+                 "(configure with -DHYDRA_BUILD_BENCH=ON and build first)")
+    names = sorted({line.strip() for line in manifest.read_text().splitlines()
+                    if line.strip()} - SKIP)
     # Resolved to absolute paths: each bench runs with cwd set to a
     # scratch directory, where a relative --build-dir would not resolve.
-    benches = [
-        path.resolve()
-        for path in sorted(bench_dir.glob("bench_*"))
-        if path.is_file() and os.access(path, os.X_OK) and path.name not in SKIP
-    ]
+    benches = [(bench_dir / name).resolve() for name in names]
+    missing = [path.name for path in benches
+               if not (path.is_file() and os.access(path, os.X_OK))]
+    if missing:
+        sys.exit(f"bench_driver: listed in {manifest} but not built: "
+                 f"{', '.join(missing)} (build them first: cmake --build "
+                 "<build-dir>)")
     if not benches:
-        sys.exit(f"bench_driver: no bench binaries under {bench_dir} "
-                 "(build them first: cmake --build <build-dir>)")
+        sys.exit(f"bench_driver: {manifest} lists no benches")
     return benches
 
 
